@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint bench bench-assets bench-check bench-baseline bench-ratchet serve-demo serve-http explore-demo cluster-e2e loadtest cover check
+.PHONY: build test race vet fmt lint perfbench-check bench bench-assets bench-check bench-baseline bench-ratchet serve-demo serve-http explore-demo cluster-e2e loadtest cover check
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,12 @@ lint:
 	else \
 		echo "staticcheck not installed; skipping (CI enforces it at a pinned version)"; \
 	fi
+
+# perfbench-check keeps the benchmark module compiling: perfbench/ is
+# a nested module (replace dlrmperf => ../), so `go build ./...` and
+# `go test ./...` from the root never see it.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench regenerates the paper artifacts and tracks the calibration
 # speedup pair (serial vs parallel) in the perf trajectory.

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"dlrmperf/internal/client"
-	"dlrmperf/internal/cluster"
 	"dlrmperf/internal/serve"
 )
 
@@ -167,9 +166,7 @@ func TestE2ECluster(t *testing.T) {
 
 	// The mixed fixture through the cluster: V100 and P100 rows split
 	// across the two workers by rendezvous hashing, the duplicate
-	// DLRM_DDP/V100 row served from a result cache. The coordinator's
-	// report nests calibrations per worker, so it decodes through
-	// PredictBatchInto rather than the worker-shaped PredictBatch.
+	// DLRM_DDP/V100 row served from a result cache.
 	fixture, err := os.ReadFile(filepath.Join("testdata", "cluster_requests.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +175,8 @@ func TestE2ECluster(t *testing.T) {
 	if err := json.Unmarshal(fixture, &reqs); err != nil {
 		t.Fatal(err)
 	}
-	var rep cluster.Report
-	if err := cl.PredictBatchInto(ctx, reqs, &rep); err != nil {
+	rep, err := cl.PredictBatch(ctx, reqs)
+	if err != nil {
 		t.Fatalf("batch: %v\ncoordinator tail:\n%s", err, coord.tail())
 	}
 	if rep.Requests != 4 || rep.Failed != 0 {
@@ -196,30 +193,18 @@ func TestE2ECluster(t *testing.T) {
 	}
 
 	// Device-affine routing: each device calibrated on exactly one
-	// worker, exactly once.
-	owner := map[string]string{}
-	for workerID, devs := range rep.Calibrations {
-		for dev, runs := range devs {
-			if prev, dup := owner[dev]; dup {
-				t.Fatalf("device %s calibrated on both %s and %s", dev, prev, workerID)
-			}
-			owner[dev] = workerID
-			if runs != 1 {
-				t.Fatalf("device %s calibrated %d times on %s, want 1", dev, runs, workerID)
-			}
-		}
-	}
+	// worker, exactly once — once cluster-wide in the report's merged
+	// ledger, and under one worker in the per-worker ledgers.
+	st := statsOf(t, cl)
+	owner := deviceOwners(t, st)
 	for _, dev := range []string{"V100", "P100"} {
-		if owner[dev] == "" {
-			t.Fatalf("device %s calibrated nowhere; ledger %v", dev, rep.Calibrations)
+		if rep.Calibrations[dev] != 1 || owner[dev] == "" {
+			t.Fatalf("device %s: report ledger %v, per-worker owners %v; want one run on one worker",
+				dev, rep.Calibrations, owner)
 		}
 	}
 
 	// Aggregated accounting invariant, cluster-wide, at quiescence.
-	var st cluster.Stats
-	if err := cl.StatsInto(ctx, &st); err != nil {
-		t.Fatal(err)
-	}
 	if got := st.Accounted(); got != st.Requests {
 		t.Fatalf("cluster stats invariant broken: hits %d + misses %d + rejected %d = %d, requests %d\n%s",
 			st.Cache.Hits, st.Cache.Misses, st.Rejected.Total(), got, st.Requests, coord.tail())
@@ -250,14 +235,15 @@ func TestE2ECluster(t *testing.T) {
 	if row.Error != "" || row.E2EUs <= 0 {
 		t.Fatalf("failover row = %+v, want a served prediction", row)
 	}
-	if err := cl.StatsInto(ctx, &st); err != nil {
+	wst, err := cl.Stats(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Rejected.WorkerFailed == 0 {
+	if wst.Rejected.WorkerFailed == 0 {
 		t.Fatalf("worker_failed = 0 after killing the V100 owner:\n%s", coord.tail())
 	}
-	if got := st.Accounted(); got != st.Requests {
-		t.Fatalf("cluster invariant broken after failover: accounted %d, requests %d", got, st.Requests)
+	if got := wst.Accounted(); got != wst.Requests {
+		t.Fatalf("cluster invariant broken after failover: accounted %d, requests %d", got, wst.Requests)
 	}
 
 	// Clean shutdown: SIGTERM the coordinator; it drains its routes and

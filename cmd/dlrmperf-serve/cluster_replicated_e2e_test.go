@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -39,14 +41,58 @@ func pickPorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-// statsOf fetches one coordinator's aggregated cluster stats.
+// statsOf fetches one coordinator's whole /stats document, with the
+// coordinator-only sections (lease, vault, per-worker rows) that
+// client.Stats skips.
 func statsOf(t *testing.T, cl *client.Client) cluster.Stats {
 	t.Helper()
-	var st cluster.Stats
-	if err := cl.StatsInto(context.Background(), &st); err != nil {
+	resp, err := http.Get(cl.Base() + "/stats")
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer resp.Body.Close()
+	var st cluster.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("coordinator /stats: status %d, decode error %v", resp.StatusCode, err)
+	}
 	return st
+}
+
+// workerLedger returns worker id's own calibration ledger
+// (workers[].stats.calibrations), failing unless that worker's row
+// carries a stats snapshot.
+func workerLedger(t *testing.T, st cluster.Stats, id string) map[string]int {
+	t.Helper()
+	for _, w := range st.Workers {
+		if w.ID == id && w.Stats != nil {
+			return w.Stats.Calibrations
+		}
+	}
+	t.Fatalf("no stats row for worker %s in %+v", id, st.Workers)
+	return nil
+}
+
+// deviceOwners maps each calibrated device to the worker whose ledger
+// holds it, failing unless every device calibrated on exactly one
+// worker, exactly once.
+func deviceOwners(t *testing.T, st cluster.Stats) map[string]string {
+	t.Helper()
+	owner := map[string]string{}
+	for _, w := range st.Workers {
+		if w.Stats == nil {
+			continue
+		}
+		for dev, runs := range w.Stats.Calibrations {
+			if prev, dup := owner[dev]; dup {
+				t.Fatalf("device %s calibrated on both %s and %s", dev, prev, w.ID)
+			}
+			owner[dev] = w.ID
+			if runs != 1 {
+				t.Fatalf("device %s calibrated %d times on %s, want 1", dev, runs, w.ID)
+			}
+		}
+	}
+	return owner
 }
 
 // waitCond polls cond with a long cross-process deadline.
@@ -171,9 +217,9 @@ func TestE2EClusterReplicated(t *testing.T) {
 	var victimID string
 	waitCond(t, "V100 assets to reach the survivor's vault", func() bool {
 		st := statsOf(t, clSurvivor)
-		for id, devs := range st.Calibrations {
-			if devs["V100"] > 0 {
-				victimID = id
+		for _, w := range st.Workers {
+			if w.Stats != nil && w.Stats.Calibrations["V100"] > 0 {
+				victimID = w.ID
 			}
 		}
 		v, ok := st.Vault["V100"]
@@ -208,7 +254,7 @@ func TestE2EClusterReplicated(t *testing.T) {
 	}
 	// The warm hand-off's whole point: the new home's calibration
 	// ledger did NOT grow — it serves V100 from the installed assets.
-	if runs := st.Calibrations[wSurvivor.base()]["V100"]; runs != 0 {
+	if runs := workerLedger(t, st, wSurvivor.base())["V100"]; runs != 0 {
 		t.Fatalf("surviving worker calibrated V100 %d times after a warm hand-off, want 0", runs)
 	}
 	wst, err := client.New(wSurvivor.base()).Stats(ctx)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"dlrmperf/internal/client"
-	"dlrmperf/internal/cluster"
 	"dlrmperf/internal/explore"
 )
 
@@ -71,22 +70,8 @@ func TestE2EExploreCluster(t *testing.T) {
 
 	// Device-affine fan-out: each device's configurations landed on —
 	// and calibrated — exactly one worker.
-	var st cluster.Stats
-	if err := cl.StatsInto(ctx, &st); err != nil {
-		t.Fatal(err)
-	}
-	owner := map[string]string{}
-	for workerID, devs := range st.Calibrations {
-		for dev, runs := range devs {
-			if prev, dup := owner[dev]; dup {
-				t.Fatalf("device %s calibrated on both %s and %s", dev, prev, workerID)
-			}
-			owner[dev] = workerID
-			if runs != 1 {
-				t.Fatalf("device %s calibrated %d times on %s, want 1", dev, runs, workerID)
-			}
-		}
-	}
+	st := statsOf(t, cl)
+	owner := deviceOwners(t, st)
 	for _, dev := range []string{"V100", "P100"} {
 		if owner[dev] == "" {
 			t.Fatalf("device %s calibrated nowhere", dev)
@@ -100,11 +85,12 @@ func TestE2EExploreCluster(t *testing.T) {
 	if warm.CacheHitRate < 0.9 {
 		t.Fatalf("warm sweep hit rate = %v, want >= 0.9", warm.CacheHitRate)
 	}
-	if err := cl.StatsInto(ctx, &st); err != nil {
+	wst, err := cl.Stats(ctx)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Accounted(); got != st.Requests {
-		t.Fatalf("cluster invariant broken after warm sweep: accounted %d, requests %d", got, st.Requests)
+	if got := wst.Accounted(); got != wst.Requests {
+		t.Fatalf("cluster invariant broken after warm sweep: accounted %d, requests %d", got, wst.Requests)
 	}
 	t.Logf("explore e2e: cold %.0f configs/sec, warm %.0f configs/sec at hit rate %.2f",
 		cold.ConfigsPerSec, warm.ConfigsPerSec, warm.CacheHitRate)

@@ -107,23 +107,13 @@ func (c *Client) Predict(ctx context.Context, req serve.Request) (serve.Result, 
 }
 
 // PredictBatch submits a request list on the blocking admission path
-// (POST /v1/predict/batch) and returns a WORKER's full report. Against
-// a coordinator use PredictBatchInto with the cluster report type — the
-// coordinator's calibration ledger is nested per-worker and does not
-// decode into serve.Report.
+// (POST /v1/predict/batch) and returns the batch report.
 func (c *Client) PredictBatch(ctx context.Context, reqs []serve.Request) (*serve.Report, error) {
 	var rep serve.Report
 	if err := c.postJSON(ctx, "/v1/predict/batch", reqs, &rep); err != nil {
 		return nil, err
 	}
 	return &rep, nil
-}
-
-// PredictBatchInto submits a request list and decodes the report into
-// v — the shape-agnostic variant for coordinator reports or partial
-// views.
-func (c *Client) PredictBatchInto(ctx context.Context, reqs []serve.Request, v any) error {
-	return c.postJSON(ctx, "/v1/predict/batch", reqs, v)
 }
 
 // Explore runs a design-space sweep (POST /v1/explore).
@@ -135,21 +125,15 @@ func (c *Client) Explore(ctx context.Context, g explore.Grid) (*explore.Report, 
 	return &rep, nil
 }
 
-// Stats fetches a WORKER's /stats document. Against a coordinator use
-// StatsInto with the cluster stats type — the client deliberately
-// doesn't import internal/cluster (cluster imports client).
+// Stats fetches the /stats document. A coordinator's document decodes
+// too: its counters are the merged cluster-wide ones, and its
+// coordinator-only sections are skipped.
 func (c *Client) Stats(ctx context.Context) (serve.Stats, error) {
 	var st serve.Stats
 	if err := c.getJSON(ctx, "/stats", &st); err != nil {
 		return serve.Stats{}, err
 	}
 	return st, nil
-}
-
-// StatsInto fetches /stats and decodes it into v — the shape-agnostic
-// variant for coordinator documents or partial views.
-func (c *Client) StatsInto(ctx context.Context, v any) error {
-	return c.getJSON(ctx, "/stats", v)
 }
 
 // Health is the GET /healthz document. Workers is only populated by

@@ -10,10 +10,10 @@
 // The coordinator re-exports the worker HTTP surface unchanged
 // (POST /v1/predict, POST /v1/predict/batch, POST /v1/explore,
 // GET /v1/scenarios, GET /healthz, GET /stats) plus
-// POST /v1/workers/register for self-registration, and its /stats merges the per-worker
-// cache/asset/stream counters into one attempt-accounted document
-// whose invariant — hits + misses + rejected == requests — holds
-// cluster-wide (see stats.go for the accounting model). A
+// POST /v1/workers/register for self-registration. Its /stats is the
+// worker's document with the per-worker counters merged under attempt
+// accounting, so the invariant — hits + misses + rejected == requests
+// — holds cluster-wide (see stats.go for the accounting model). A
 // pass-through result cache (the engine's fingerprint result cache
 // via dlrmperf.Engine.RemoteResult) answers repeats of identical
 // scenarios at the coordinator without a network round trip.
@@ -408,45 +408,12 @@ func (c *Coordinator) RunBatch(ctx context.Context, reqs []serve.Request) []serv
 	return out
 }
 
-// Report is the coordinator's batch response: per-row results plus
-// the aggregated cluster counters at report time.
-type Report struct {
-	Results   []serve.Result `json:"results"`
-	Requests  int            `json:"requests"`
-	Failed    int            `json:"failed"`
-	ElapsedMs float64        `json:"elapsed_ms"`
-	// Calibrations is the device-affinity ledger: worker ID -> device
-	// -> executed calibration runs, merged from worker /stats.
-	Calibrations map[string]map[string]int `json:"calibrations"`
-	Cache        serve.CacheStats          `json:"cache"`
-	Rejected     ClusterRejected           `json:"rejected_requests"`
-	Error        *serve.ReportError        `json:"error,omitempty"`
-}
-
-// Run serves a whole request list and assembles the cluster report.
-func (c *Coordinator) Run(ctx context.Context, reqs []serve.Request) *Report {
+// Run serves a whole request list and assembles its report — the
+// worker's report shape, over the aggregated cluster counters.
+func (c *Coordinator) Run(ctx context.Context, reqs []serve.Request) *serve.Report {
 	start := time.Now()
 	results := c.RunBatch(ctx, reqs)
-	rep := &Report{
-		Results:   results,
-		Requests:  len(results),
-		ElapsedMs: float64(time.Since(start).Microseconds()) / 1000,
-	}
-	for _, row := range results {
-		if row.Error != "" {
-			rep.Failed++
-		}
-	}
-	st := c.Stats(ctx)
-	rep.Calibrations = st.Calibrations
-	rep.Cache, rep.Rejected = st.Cache, st.Rejected
-	if rep.Failed == rep.Requests && rep.Requests > 0 {
-		rep.Error = &serve.ReportError{
-			Code:    "all_requests_failed",
-			Message: fmt.Sprintf("all %d requests failed; first error: %s", rep.Requests, results[0].Error),
-		}
-	}
-	return rep
+	return serve.NewReport(results, time.Since(start), c.Stats(ctx).Stats)
 }
 
 // Stats assembles the aggregated cluster document: the coordinator's
@@ -457,10 +424,13 @@ func (c *Coordinator) Run(ctx context.Context, reqs []serve.Request) *Report {
 // Accounted() <= Requests holds on every aggregated snapshot too.
 func (c *Coordinator) Stats(ctx context.Context) Stats {
 	agg := Stats{
-		Rejected: ClusterRejected{
-			WorkerFailed: c.workerFailed.Load(),
-			NoWorkers:    c.noWorkers.Load(),
-			Draining:     c.drainingRejects.Load(),
+		Stats: serve.Stats{
+			Rejected: serve.RejectedStats{
+				WorkerFailed: c.workerFailed.Load(),
+				NoWorkers:    c.noWorkers.Load(),
+				Draining:     c.drainingRejects.Load(),
+			},
+			Draining: c.Draining(),
 		},
 		Coordinator: CoordinatorStats{
 			Received:             c.received.Load(),
@@ -469,9 +439,8 @@ func (c *Coordinator) Stats(ctx context.Context) Stats {
 			MigrationFailures:    c.migrationFailures.Load(),
 			PeerResultsInstalled: c.peerResultsInstalled.Load(),
 		},
-		Lease:    c.lease.Snapshot(),
-		Vault:    c.vault.snapshot(),
-		Draining: c.Draining(),
+		Lease: c.lease.Snapshot(),
+		Vault: c.vault.snapshot(),
 	}
 	// Every coordinator-accounted attempt joins both sides of the
 	// invariant: the bucket above and the request total here.
@@ -486,7 +455,7 @@ func (c *Coordinator) Stats(ctx context.Context) Stats {
 	})
 	for _, ws := range statuses {
 		if ws.Stats != nil {
-			agg.mergeWorker(ws.ID, *ws.Stats)
+			agg.mergeWorker(*ws.Stats)
 		}
 	}
 	agg.Workers = statuses

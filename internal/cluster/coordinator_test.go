@@ -262,16 +262,21 @@ func TestDeviceAffineRouting(t *testing.T) {
 	if st.Cache.Hits != devices*2 || st.Cache.Misses != devices {
 		t.Fatalf("aggregated cache = %d/%d hit/miss, want %d/%d", st.Cache.Hits, st.Cache.Misses, devices*2, devices)
 	}
-	// The calibration ledger shows each device under exactly one worker.
+	// The per-worker calibration ledgers show each device under exactly
+	// one worker, and the merged ledger shows it calibrated once.
 	seen := map[string]int{}
-	for _, devs := range st.Calibrations {
-		for d := range devs {
+	for _, w := range st.Workers {
+		for d := range w.Stats.Calibrations {
 			seen[d]++
 		}
 	}
 	for d := 0; d < devices; d++ {
-		if n := seen[fmt.Sprintf("dev-%d", d)]; n != 1 {
-			t.Errorf("ledger shows dev-%d on %d workers, want 1", d, n)
+		dev := fmt.Sprintf("dev-%d", d)
+		if n := seen[dev]; n != 1 {
+			t.Errorf("ledger shows %s on %d workers, want 1", dev, n)
+		}
+		if runs := st.Calibrations[dev]; runs != 1 {
+			t.Errorf("merged ledger shows %s calibrated %d times, want 1", dev, runs)
 		}
 	}
 }
@@ -476,8 +481,8 @@ func TestBatchFanOut(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		reqs = append(reqs, req(fmt.Sprintf("dev-%d", i%4), "w", int64(512+i)))
 	}
-	var rep Report
-	if err := client.New(ts.URL).PredictBatchInto(context.Background(), reqs, &rep); err != nil {
+	rep, err := client.New(ts.URL).PredictBatch(context.Background(), reqs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Requests != 8 || rep.Failed != 0 {
@@ -495,5 +500,49 @@ func TestBatchFanOut(t *testing.T) {
 	}
 	if got := rep.Cache.Hits + rep.Cache.Misses + rep.Rejected.Total(); got != 8 {
 		t.Fatalf("report accounting = %d, want 8", got)
+	}
+	for i := 0; i < 4; i++ {
+		if dev := fmt.Sprintf("dev-%d", i); rep.Calibrations[dev] != 1 {
+			t.Fatalf("report ledger = %v, want %s calibrated once", rep.Calibrations, dev)
+		}
+	}
+}
+
+// TestTypedClientStatsAgainstCoordinator: the coordinator's /stats is
+// the worker document plus coordinator-only keys, so the typed client
+// decodes it into serve.Stats — with calibrated devices in the ledger
+// and the coordinator's worker_failed bucket in Rejected — and the
+// accounting identity holds over what it decoded.
+func TestTypedClientStatsAgainstCoordinator(t *testing.T) {
+	coord, workers := newTestCluster(t, 2, nil)
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+	ctx := context.Background()
+	victim := workers[0]
+	dev := affineDevice(t, coord.Registry().Live(), victim.id)
+
+	// The first request calibrates dev on the victim; the second, after
+	// the kill, burns one worker_failed attempt and fails over.
+	for i, batch := range []int64{512, 1024} {
+		if i == 1 {
+			victim.killed.Store(true)
+		}
+		if row, err := coord.PredictOne(ctx, req(dev, "w", batch), false); err != nil || row.Error != "" {
+			t.Fatalf("request %d: %v / %q", i, err, row.Error)
+		}
+	}
+
+	st, err := client.New(ts.URL).Stats(ctx)
+	if err != nil {
+		t.Fatalf("client.Stats against a coordinator: %v", err)
+	}
+	if st.Rejected.WorkerFailed == 0 {
+		t.Fatalf("rejected = %+v, want worker_failed > 0", st.Rejected)
+	}
+	if st.Calibrations[dev] != 1 {
+		t.Fatalf("calibrations = %v, want %s calibrated once on the survivor", st.Calibrations, dev)
+	}
+	if st.Accounted() != st.Requests {
+		t.Fatalf("decoded accounting = %d, requests %d", st.Accounted(), st.Requests)
 	}
 }

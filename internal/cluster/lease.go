@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -94,14 +95,7 @@ func (l *Lease) Peers() []string {
 	for p := range l.peers {
 		out = append(out, p)
 	}
-	// Insertion sort: the peer set is tiny and this keeps the hot
-	// Leader/Peers pair free of package dependencies beyond the stdlib
-	// already imported.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Strings(out)
 	return out
 }
 

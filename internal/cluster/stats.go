@@ -31,30 +31,6 @@ import (
 // identity survives worker death: a killed worker takes both sides of
 // its contribution with it.
 
-// ClusterRejected breaks out every never-served attempt cluster-wide:
-// the per-worker buckets summed (validation, queue_full, draining,
-// canceled_admissions — see serve.RejectedStats) plus the
-// coordinator's own routing buckets.
-type ClusterRejected struct {
-	Validation    uint64 `json:"validation"`
-	QueueFull     uint64 `json:"queue_full"`
-	TenantLimited uint64 `json:"tenant_limited"`
-	Draining      uint64 `json:"draining"`
-	Canceled      uint64 `json:"canceled_admissions"`
-	// WorkerFailed counts routing attempts that died on a worker (the
-	// socket broke, or the worker answered 5xx): the fault-injection
-	// signal. Retried requests still count their failed first attempt
-	// here.
-	WorkerFailed uint64 `json:"worker_failed"`
-	// NoWorkers counts requests that arrived with zero live workers.
-	NoWorkers uint64 `json:"no_workers"`
-}
-
-// Total sums every rejection bucket.
-func (r ClusterRejected) Total() uint64 {
-	return r.Validation + r.QueueFull + r.TenantLimited + r.Draining + r.Canceled + r.WorkerFailed + r.NoWorkers
-}
-
 // CoordinatorStats are the coordinator's own counters, client-facing:
 // Received counts client requests (each once, however many attempts
 // its routing took), LocalCacheHits the subset answered from the
@@ -87,53 +63,32 @@ type WorkerStatus struct {
 	StatsError string       `json:"stats_error,omitempty"`
 }
 
-// Stats is the coordinator's GET /stats document: the merged
-// cluster-wide counters (attempt-accounted, see the package accounting
-// model) plus per-worker detail.
+// Stats is the coordinator's GET /stats document: the worker's
+// serve.Stats, holding the cluster-wide counters merged under the
+// attempt accounting above, plus the coordinator-only sections. The
+// embedded fields are promoted in JSON, so the document decodes into
+// serve.Stats too. The merge sums the workers' counters, except
+// Latency and the Queue gauges other than InFlight, which stay zero
+// (each worker's own are in its Workers row). Calibrations sums their
+// device -> runs maps, while each worker's own ledger stays in its
+// Workers row too. Tenants are worker-side fair-queue counters:
+// requests answered from the coordinator's pass-through cache appear
+// only in Coordinator.LocalCacheHits.
 type Stats struct {
-	// Requests is the aggregated accounted-attempt total; the invariant
-	// Cache.Hits + Cache.Misses + Rejected.Total() == Requests holds at
-	// quiescence, and Accounted() <= Requests on every snapshot.
-	Requests uint64           `json:"requests"`
-	Cache    serve.CacheStats `json:"cache"`
-	Rejected ClusterRejected  `json:"rejected"`
-	// Served/Canceled/InFlight merge the workers' stream counters.
-	Served   uint64 `json:"served"`
-	Canceled uint64 `json:"canceled"`
-	InFlight int64  `json:"in_flight"`
-	// Assets merges the workers' asset stores class-by-class (resident
-	// entries, bytes, hit/miss/eviction counters summed; capacities
-	// summed into a cluster-wide bound).
-	Assets dlrmperf.AssetStats `json:"assets"`
-	// Calibrations maps worker ID -> device -> executed calibration
-	// runs: the device-affinity ledger. Under rendezvous routing every
-	// device should appear under exactly one worker.
-	Calibrations map[string]map[string]int `json:"calibrations,omitempty"`
-	// Tenants sums the per-tenant admission ledgers across workers.
-	// These are worker-side fair-queue counters: requests answered from
-	// the coordinator's pass-through cache never reach a worker queue
-	// and so appear only in Coordinator.LocalCacheHits.
-	Tenants     map[string]serve.TenantStats `json:"tenants,omitempty"`
-	Coordinator CoordinatorStats             `json:"coordinator"`
+	serve.Stats
+	Coordinator CoordinatorStats `json:"coordinator"`
 	// Lease is the replicated-control-plane membership view (nil in
 	// single-coordinator mode); Vault the replicated per-device asset
 	// copies backing warm hand-off on failover.
-	Lease    *LeaseStatus           `json:"lease,omitempty"`
-	Vault    map[string]VaultStatus `json:"asset_vault,omitempty"`
-	Workers  []WorkerStatus         `json:"workers"`
-	Draining bool                   `json:"draining"`
-}
-
-// Accounted sums the terminal buckets; Accounted() <= Requests on
-// every snapshot, with equality at quiescence.
-func (s Stats) Accounted() uint64 {
-	return s.Cache.Hits + s.Cache.Misses + s.Rejected.Total()
+	Lease   *LeaseStatus           `json:"lease,omitempty"`
+	Vault   map[string]VaultStatus `json:"asset_vault,omitempty"`
+	Workers []WorkerStatus         `json:"workers"`
 }
 
 // mergeWorker folds one worker's snapshot into the aggregate. Both
 // sides of the invariant move together: the worker's buckets into
 // Cache/Rejected, its request total into Requests.
-func (s *Stats) mergeWorker(id string, ws serve.Stats) {
+func (s *Stats) mergeWorker(ws serve.Stats) {
 	s.Requests += ws.Requests
 	s.Cache.Hits += ws.Cache.Hits
 	s.Cache.Misses += ws.Cache.Misses
@@ -145,13 +100,13 @@ func (s *Stats) mergeWorker(id string, ws serve.Stats) {
 	s.Rejected.Canceled += ws.Rejected.Canceled
 	s.Served += ws.Served
 	s.Canceled += ws.Canceled
-	s.InFlight += ws.Queue.InFlight
+	s.Queue.InFlight += ws.Queue.InFlight
 	mergeAssets(&s.Assets, ws.Assets)
-	if len(ws.Calibrations) > 0 {
+	for d, n := range ws.Calibrations {
 		if s.Calibrations == nil {
-			s.Calibrations = map[string]map[string]int{}
+			s.Calibrations = map[string]int{}
 		}
-		s.Calibrations[id] = ws.Calibrations
+		s.Calibrations[d] += n
 	}
 	for name, ts := range ws.Tenants {
 		if s.Tenants == nil {

@@ -166,15 +166,26 @@ type collector struct {
 	latencies   []int64
 	queueWaitUs int64
 	maxWaitUs   int64
+	// firstSend and lastDone bound the tenant's active window: its
+	// earliest dispatch and its latest completion.
+	firstSend, lastDone time.Time
 }
 
 func newCollector() *collector { return &collector{shed: map[string]uint64{}} }
 
-// record classifies one completed request through the typed error
-// taxonomy.
-func (c *collector) record(res serve.Result, err error, latency time.Duration) {
+// record classifies one completed request, dispatched at sent, through
+// the typed error taxonomy.
+func (c *collector) record(res serve.Result, err error, sent time.Time) {
+	done := time.Now()
+	latency := done.Sub(sent)
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.firstSend.IsZero() || sent.Before(c.firstSend) {
+		c.firstSend = sent
+	}
+	if done.After(c.lastDone) {
+		c.lastDone = done
+	}
 	if err == nil {
 		if res.Error != "" {
 			c.appErrors++
@@ -278,7 +289,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 					defer rcancel()
 					t0 := time.Now()
 					res, err := cfg.Client.Predict(rctx, req)
-					col.record(res, err, time.Since(t0))
+					col.record(res, err, t0)
 				}()
 			}
 		}(ti)
@@ -304,18 +315,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// statsDoc is the shape-agnostic /stats view the invariant check
-// needs: both the worker's RejectedStats and the coordinator's
-// ClusterRejected decode into the flat bucket map.
-type statsDoc struct {
-	Requests uint64 `json:"requests"`
-	Cache    struct {
-		Hits   uint64 `json:"hits"`
-		Misses uint64 `json:"misses"`
-	} `json:"cache"`
-	Rejected map[string]uint64 `json:"rejected"`
-}
-
 // ServerStats is the target's own accounting after the run, with the
 // invariant verdict. The identity only holds at quiescence, which the
 // run guarantees by waiting out its in-flight requests first.
@@ -328,16 +327,17 @@ type ServerStats struct {
 }
 
 func fetchServerStats(ctx context.Context, cl *client.Client) (*ServerStats, error) {
-	var doc statsDoc
-	if err := cl.StatsInto(ctx, &doc); err != nil {
+	st, err := cl.Stats(ctx)
+	if err != nil {
 		return nil, err
 	}
-	sv := &ServerStats{Requests: doc.Requests, CacheHits: doc.Cache.Hits, CacheMisses: doc.Cache.Misses}
-	for _, n := range doc.Rejected {
-		sv.Rejected += n
-	}
-	sv.InvariantOK = sv.CacheHits+sv.CacheMisses+sv.Rejected == sv.Requests
-	return sv, nil
+	return &ServerStats{
+		Requests:    st.Requests,
+		CacheHits:   st.Cache.Hits,
+		CacheMisses: st.Cache.Misses,
+		Rejected:    st.Rejected.Total(),
+		InvariantOK: st.Accounted() == st.Requests,
+	}, nil
 }
 
 // quantile reads the q-th quantile (0..1) from sorted microsecond
@@ -393,8 +393,10 @@ func buildReport(cfg Config, collectors []*collector, elapsed time.Duration) *Re
 			tr.AvgQueueWaitUs = float64(col.queueWaitUs) / float64(tr.OK)
 			tr.MaxQueueWaitUs = col.maxWaitUs
 		}
-		if elapsed > 0 {
-			tr.AchievedRPS = float64(tr.OK) / elapsed.Seconds()
+		// A tenant's throughput is over its own active window: with -n,
+		// a fast tenant finishes long before a slow one ends the run.
+		if window := col.lastDone.Sub(col.firstSend); window > 0 {
+			tr.AchievedRPS = float64(tr.OK) / window.Seconds()
 		}
 		lat := append([]int64(nil), col.latencies...)
 		col.mu.Unlock()

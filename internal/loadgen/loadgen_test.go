@@ -145,6 +145,32 @@ func TestMissedAccountingUnderBound(t *testing.T) {
 	}
 }
 
+// TestTenantAchievedRPSUsesOwnWindow: under -n, a fast tenant finishes
+// its requests long before a slow one ends the run, so each tenant's
+// achieved_rps must divide by its own active window, not the run's.
+// Both tenants send the same N; the hot one at 10x the rate.
+func TestTenantAchievedRPSUsesOwnWindow(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		serve.WriteJSON(w, http.StatusOK, serve.Result{})
+	}))
+	t.Cleanup(ts.Close)
+	rep, err := Run(context.Background(), Config{
+		Target:  ts.URL,
+		Tenants: []TenantSpec{{Name: "hot", RPS: 200}, {Name: "bg", RPS: 20}},
+		N:       10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, bg := rep.Tenants[0], rep.Tenants[1]
+	if hot.OK != 10 || bg.OK != 10 {
+		t.Fatalf("ok = %d/%d, want 10/10", hot.OK, bg.OK)
+	}
+	if hot.AchievedRPS <= 3*bg.AchievedRPS {
+		t.Fatalf("achieved_rps hot %.1f vs bg %.1f, want hot > 3x bg", hot.AchievedRPS, bg.AchievedRPS)
+	}
+}
+
 // TestInvariantCheckFailsOnBrokenTarget: a target whose counters
 // violate the accounting identity fails the run.
 func TestInvariantCheckFailsOnBrokenTarget(t *testing.T) {

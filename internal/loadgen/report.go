@@ -32,7 +32,9 @@ type TenantReport struct {
 	Other        uint64            `json:"other_errors"`
 	CacheHits    uint64            `json:"cache_hits"`
 	CacheHitRate float64           `json:"cache_hit_rate"`
-	AchievedRPS  float64           `json:"achieved_rps"`
+	// AchievedRPS divides OK by the tenant's active window, its first
+	// send to its last completion; in Totals, by the run's wall time.
+	AchievedRPS float64 `json:"achieved_rps"`
 	// Latency covers OK rows only, end to end as the client saw it;
 	// the queue-wait fields echo the server's own admission-wait stamp.
 	Latency        LatencyQuantiles `json:"latency"`

@@ -368,7 +368,7 @@ func (s *Server) RunBatch(ctx context.Context, reqs []Request) []Result {
 func (s *Server) Run(ctx context.Context, reqs []Request) *Report {
 	start := time.Now()
 	results := s.RunBatch(ctx, reqs)
-	return s.Report(results, time.Since(start))
+	return NewReport(results, time.Since(start), s.Stats())
 }
 
 // Drain gracefully stops the server: new admissions are rejected with

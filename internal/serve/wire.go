@@ -121,11 +121,18 @@ type RejectedStats struct {
 	TenantLimited uint64 `json:"tenant_limited"`
 	Draining      uint64 `json:"draining"`
 	Canceled      uint64 `json:"canceled_admissions"`
+	// WorkerFailed and NoWorkers are the cluster coordinator's routing
+	// buckets, always zero on a worker: routing attempts that died on a
+	// worker (broken socket or 5xx; a request that failed over still
+	// counts its failed first attempt here), and requests that arrived
+	// with zero live workers.
+	WorkerFailed uint64 `json:"worker_failed,omitempty"`
+	NoWorkers    uint64 `json:"no_workers,omitempty"`
 }
 
 // Total sums every never-computed bucket.
 func (r RejectedStats) Total() uint64 {
-	return r.Validation + r.QueueFull + r.TenantLimited + r.Draining + r.Canceled
+	return r.Validation + r.QueueFull + r.TenantLimited + r.Draining + r.Canceled + r.WorkerFailed + r.NoWorkers
 }
 
 // QueueStats is the admission queue's observable state.
@@ -198,8 +205,8 @@ type Stats struct {
 	Assets   dlrmperf.AssetStats `json:"assets"`
 	// Calibrations maps each device that calibrated in this process to
 	// its executed calibration count (normally 1; 0-count devices are
-	// omitted). The cluster coordinator merges these per-worker maps to
-	// prove device-affine routing.
+	// omitted). On a cluster coordinator it sums the workers' maps, so
+	// a device calibrated on two workers shows 2 runs.
 	Calibrations map[string]int `json:"calibrations,omitempty"`
 	// Tenants is the per-tenant admission breakdown (absent until the
 	// first request reaches the fair queue). The rows are informational
@@ -221,13 +228,14 @@ func (s Stats) Accounted() uint64 {
 }
 
 // Report is the full output document of a batch run (the one-shot
-// report and the POST /v1/predict/batch response). Results, Requests,
-// Failed, and ElapsedMs describe this batch; the Cache, Rejected,
-// Stream, Latency, and Assets blocks are engine-lifetime snapshots at
-// report time — the Stats invariant holds over them against the
-// server's lifetime request total, not this batch's Requests. In the
-// one-shot driver the engine serves exactly one batch, so the two
-// coincide (which is what its tests assert).
+// report and the POST /v1/predict/batch response of a worker or a
+// cluster coordinator). Results, Requests, Failed, and ElapsedMs
+// describe this batch; the Calibrations, Cache, Rejected, Stream,
+// Latency, and Assets blocks are copied from the server's Stats
+// snapshot at report time — the Stats invariant holds over them
+// against the server's lifetime request total, not this batch's
+// Requests. In the one-shot driver the engine serves exactly one
+// batch, so the two coincide (which is what its tests assert).
 type Report struct {
 	Results      []Result            `json:"results"`
 	Requests     int                 `json:"requests"`
@@ -275,30 +283,29 @@ func RetryAfterSeconds(d time.Duration) string {
 	return strconv.Itoa(secs)
 }
 
-// Report assembles the batch report from finished rows plus the
-// server's live counters.
-func (s *Server) Report(results []Result, elapsed time.Duration) *Report {
+// NewReport assembles a batch report from its finished rows, the
+// batch's wall time, and a stats snapshot taken after the batch — the
+// one report builder of the worker and the cluster coordinator.
+func NewReport(results []Result, elapsed time.Duration, st Stats) *Report {
 	rep := &Report{
 		Results:      results,
 		Requests:     len(results),
 		ElapsedMs:    float64(elapsed.Microseconds()) / 1000,
-		Calibrations: map[string]int{},
+		Calibrations: st.Calibrations,
+		Cache:        st.Cache,
+		Rejected:     st.Rejected,
+		Stream:       st.Queue,
+		Latency:      st.Latency,
+		Assets:       st.Assets,
+	}
+	if rep.Calibrations == nil {
+		rep.Calibrations = map[string]int{} // the report always carries the ledger, even empty
 	}
 	for _, row := range results {
 		if row.Error != "" {
 			rep.Failed++
 		}
 	}
-	b := s.cfg.Backend
-	for _, d := range b.Devices() {
-		if n := b.CalibrationRuns(d); n > 0 {
-			rep.Calibrations[d] = n
-		}
-	}
-	st := s.Stats()
-	rep.Cache, rep.Rejected = st.Cache, st.Rejected
-	rep.Stream, rep.Latency = st.Queue, st.Latency
-	rep.Assets = st.Assets
 	if rep.Failed == rep.Requests && rep.Requests > 0 {
 		rep.Error = &ReportError{
 			Code:    "all_requests_failed",
