@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint perfbench-check bench bench-assets bench-check bench-baseline bench-ratchet serve-demo serve-http explore-demo cluster-e2e loadtest cover check
+.PHONY: build test race vet fmt lint perfbench-check fuzz-smoke bench bench-assets bench-check bench-baseline bench-ratchet serve-demo serve-http explore-demo cluster-e2e loadtest cover check
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,13 @@ lint:
 # `go test ./...` from the root never see it.
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# fuzz-smoke fuzzes engine.LoadAssets (the asset-install entry a
+# coordinator's vault push reaches) for 10s past its checked-in seed
+# corpus; plain `go test` already replays the corpus. Minimization is
+# capped at 1s, or a single large new input can eat the whole budget.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadAssets$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/engine
 
 # bench regenerates the paper artifacts and tracks the calibration
 # speedup pair (serial vs parallel) in the perf trajectory.

@@ -214,13 +214,8 @@ func (e *Engine) Predict(req PredictRequest) PredictResult {
 // async serving layer (internal/serve), which threads per-request HTTP
 // deadlines through here.
 func (e *Engine) PredictContext(ctx context.Context, req PredictRequest) PredictResult {
-	if err := e.checkServes(req.Device); err != nil {
-		e.eng.RejectRequest()
-		return PredictResult{Request: req, Err: err}
-	}
-	ereq, err := toEngine(req)
+	ereq, err := e.resolve(req)
 	if err != nil {
-		e.eng.RejectRequest()
 		return PredictResult{Request: req, Err: err}
 	}
 	r := e.eng.PredictCtx(ctx, ereq)
@@ -248,14 +243,8 @@ func (e *Engine) PredictBatchContext(ctx context.Context, reqs []PredictRequest)
 	ereqs := make([]engine.Request, 0, len(reqs))
 	idx := make([]int, 0, len(reqs))
 	for i, r := range reqs {
-		if err := e.checkServes(r.Device); err != nil {
-			e.eng.RejectRequest()
-			out[i] = PredictResult{Request: r, Err: err}
-			continue
-		}
-		ereq, err := toEngine(r)
+		ereq, err := e.resolve(r)
 		if err != nil {
-			e.eng.RejectRequest()
 			out[i] = PredictResult{Request: r, Err: err}
 			continue
 		}
@@ -325,6 +314,22 @@ func (r PredictRequest) ResolveSpec() (scenario.Spec, error) {
 		spec.Comm = r.Comm
 	}
 	return spec, nil
+}
+
+// resolve turns a public request into an engine request: the device
+// must be in the engine's set and the scenario must resolve. A request
+// failing either check is counted once as rejected, keeping
+// hits + misses + rejected == requests dispatched.
+func (e *Engine) resolve(req PredictRequest) (engine.Request, error) {
+	err := e.checkServes(req.Device)
+	var ereq engine.Request
+	if err == nil {
+		ereq, err = toEngine(req)
+	}
+	if err != nil {
+		e.eng.RejectRequest()
+	}
+	return ereq, err
 }
 
 // toEngine resolves the public request into an engine request.

@@ -26,12 +26,15 @@ var hotpathPackages = map[string]hotpathConfig{
 	"dlrmperf/internal/engine": {
 		roots: []string{
 			// Steady-state prediction: cached single/batch entry, the
-			// fast cache-hit probe, remote result install, compiled
-			// plan execution, and the key builders themselves.
+			// fast cache-hit probe, remote result install, the plan
+			// lookup (handed to cachedFlight as a build, so no call
+			// edge reaches it), compiled plan execution, and the key
+			// builders themselves.
 			"Engine.PredictCtx",
 			"Engine.PredictBatchCtx",
 			"Engine.predictFast",
 			"Engine.RemoteResult",
+			"Engine.predictScenario",
 			"CompiledPlan.execute",
 			"Request.appendKey",
 			"classStore.getBytes",

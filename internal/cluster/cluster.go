@@ -671,46 +671,3 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	serve.WriteJSON(w, http.StatusOK, c.Stats(r.Context()))
 }
-
-// Heartbeat self-registers a worker with a coordinator immediately and
-// then every interval, keeping it inside the registry's liveness
-// window, until the returned stop function is called (idempotent,
-// waits for the loop to exit) or ctx is canceled. Registration
-// failures are retried on the next tick — a coordinator restart heals
-// itself. A nil hc uses a 5s-bounded default (a beat must never hang
-// past its own interval for long).
-func Heartbeat(ctx context.Context, hc *http.Client, coordinatorURL, id, selfURL string, interval time.Duration) (stop func()) {
-	if hc == nil {
-		hc = &http.Client{Timeout: 5 * time.Second}
-	}
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	cl := client.New(coordinatorURL, client.WithHTTPClient(hc))
-	done := make(chan struct{})
-	exited := make(chan struct{})
-	beat := func() {
-		_ = cl.Register(ctx, id, selfURL) // best-effort; retried next tick
-	}
-	go func() {
-		defer close(exited)
-		beat()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				beat()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		<-exited
-	}
-}

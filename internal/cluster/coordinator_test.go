@@ -361,7 +361,7 @@ func TestRegisterAndHeartbeat(t *testing.T) {
 	defer ts.Close()
 
 	fw := newFakeWorker(t)
-	stop := Heartbeat(context.Background(), nil, ts.URL, fw.id, fw.srv.URL, 50*time.Millisecond)
+	stop := HeartbeatAssets(context.Background(), nil, []string{ts.URL}, fw.id, fw.srv.URL, 50*time.Millisecond, nil)
 	defer stop()
 
 	deadline := time.Now().Add(5 * time.Second)

@@ -213,15 +213,18 @@ type AssetExporter interface {
 }
 
 // HeartbeatAssets self-registers a worker with EVERY coordinator in
-// coordinatorURLs immediately and then every interval — the
-// multi-coordinator generalization of Heartbeat — and, with a non-nil
-// exporter, pushes each calibrated device's exported assets to each
-// coordinator whenever the device's asset epoch has moved since the
-// last successful push there. The push is the replication source of
-// the coordinators' asset vaults: it is what makes a warm hand-off
-// possible after this worker dies. Registration and push failures are
-// retried on the next tick; a restarted coordinator re-learns both
-// within one beat.
+// coordinatorURLs immediately and then every interval, keeping it
+// inside each registry's liveness window until the returned stop
+// function is called (idempotent, waits for the loop to exit) or ctx
+// is canceled. With a non-nil exporter it also pushes each calibrated
+// device's exported assets to each coordinator whenever the device's
+// asset epoch has moved since the last successful push there. The push
+// is the replication source of the coordinators' asset vaults: it is
+// what makes a warm hand-off possible after this worker dies.
+// Registration and push failures are retried on the next tick; a
+// restarted coordinator re-learns both within one beat. A nil hc uses
+// a 5s-bounded default (a beat must never hang past its own interval
+// for long).
 func HeartbeatAssets(ctx context.Context, hc *http.Client, coordinatorURLs []string, id, selfURL string, interval time.Duration, exp AssetExporter) (stop func()) {
 	if hc == nil {
 		hc = &http.Client{Timeout: 5 * time.Second}

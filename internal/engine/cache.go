@@ -104,6 +104,10 @@ type classStore struct {
 	ll     *list.List
 	items  map[string]*list.Element
 	bytes  int64
+	// off makes the class store nothing: every lookup misses and
+	// cachedFlight builds inline on the caller (the disabled result
+	// cache, the cold-path ablation).
+	off bool
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -124,8 +128,8 @@ func newClassStore(capacity int, pinned bool) *classStore {
 }
 
 // get returns the stored value and refreshes its recency. It does not
-// touch the hit/miss counters — the memo dance owns request-level
-// accounting so singleflight joins are counted exactly once.
+// touch the hit/miss counters — cachedFlight owns them, so singleflight
+// joins are counted exactly once.
 func (c *classStore) get(key string) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -231,12 +235,13 @@ func newAssetStore(opts Options) *assetStore {
 	s.classes[classPlan] = newClassStore(opts.AssetCaps.Plans, false)
 	// The result class is created even when the result cache is
 	// disabled (negative ResultCacheSize) so its counters still report;
-	// Predict just never stores into it.
+	// it is just off and never stores.
 	resultCap := opts.ResultCacheSize
 	if resultCap < 0 {
 		resultCap = 0
 	}
 	s.classes[classResult] = newClassStore(resultCap, false)
+	s.classes[classResult].off = opts.ResultCacheSize < 0
 	return s
 }
 

@@ -158,18 +158,16 @@ type Engine struct {
 	assetEpochs map[string]uint64
 
 	// store is the unified metered asset store: every memoized artifact
-	// — calibrations (pinned), runs, overhead DBs, graphs, and finished
-	// predictions — lives in one of its size-bounded classes.
+	// — calibrations (pinned), runs, overhead DBs, graphs, plans, and
+	// finished predictions — lives in one of its size-bounded classes.
 	store *assetStore
-	// results points at the store's result class; nil when the result
-	// cache is disabled (negative ResultCacheSize).
+	// results points at the store's result class (off when the result
+	// cache is disabled). Its hits/misses are the request-level counters
+	// behind CacheStats.
 	results *classStore
-	// cacheHits/cacheMisses are the request-level result counters behind
-	// CacheStats; rejected counts requests that failed validation before
-	// reaching the compute path.
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	rejected    atomic.Uint64
+	// rejected counts requests that failed validation before reaching
+	// the compute path.
+	rejected atomic.Uint64
 
 	// Stream counters behind StreamStats: requests concurrently inside
 	// Predict (and the high-water mark), requests completed, requests
@@ -219,6 +217,23 @@ func (e *Engine) StreamStats() StreamStats {
 	}
 }
 
+// beginStream enters one served request into the stream counters and
+// returns its start time; endStream(start) closes it.
+func (e *Engine) beginStream() time.Time {
+	xsync.AtomicMax(&e.peakInFlight, e.inFlight.Add(1))
+	return time.Now() //lint:allow deterministic latency observability only; never feeds keys or fingerprints
+}
+
+// endStream closes a request opened by beginStream: it leaves the
+// in-flight gauge and lands in the served and latency totals.
+func (e *Engine) endStream(start time.Time) {
+	e.inFlight.Add(-1)
+	us := time.Since(start).Microseconds()
+	e.latencyUs.Add(us)
+	xsync.AtomicMax(&e.maxLatencyUs, us)
+	e.served.Add(1)
+}
+
 // New returns an empty engine; no calibration runs until an asset is
 // first requested.
 func New(opts Options) *Engine {
@@ -229,9 +244,7 @@ func New(opts Options) *Engine {
 		assetEpochs: map[string]uint64{},
 		store:       newAssetStore(opts),
 	}
-	if opts.ResultCacheSize > 0 {
-		e.results = e.store.class(classResult)
-	}
+	e.results = e.store.class(classResult)
 	return e
 }
 
@@ -257,53 +270,86 @@ func (e *Engine) runSeed(device string, batch int64, profiled bool) uint64 {
 	return s
 }
 
-// memo runs the cache-then-singleflight-then-cache dance for one keyed
-// asset: hit the class's resident store, else share one execution of
-// build among concurrent callers and store (and meter) its result.
-// Eviction stays race-free because bounding lives inside the class
-// store's lock while build dedup lives in the singleflight: a key
-// evicted mid-burst is rebuilt exactly once, never torn.
+// cachedFlight is the engine's one reuse rule, shared by every memoized
+// asset and result: serve key from class store cs, else share one
+// execution of build(e, arg) among concurrent callers through the
+// singleflight — re-probing inside the flight, so a value stored
+// between the probe and the flight is not rebuilt — and store (and
+// meter) what it returns. The flight key and the store key are one
+// string. Eviction stays race-free because bounding lives inside the
+// class store's lock while build dedup lives in the singleflight: a
+// key evicted mid-burst is rebuilt exactly once, never torn.
 //
-// Counters follow the result-cache convention: a miss is a caller that
-// actually built or joined a failed build; everything served from
-// resident memory or a successful in-flight build counts as a hit.
-func memo[T any](e *Engine, class assetClass, key string, build func() (T, error)) (T, error) {
-	cs := e.store.class(class)
-	if v, ok := cs.get(key); ok {
-		cs.hits.Add(1)
-		return v.(T), nil
+// cs's own counters record every call once: a hit is a value served
+// from memory or from a successful in-flight build it joined; a miss
+// is a call that built, joined a failed build, or gave up waiting on
+// ctx (also counted in StreamStats.Canceled). ctx follows DoCtx: an
+// expired caller abandons the wait while the build completes into the
+// store. build takes e and arg as parameters instead of capturing
+// them, so the closure the flight needs is made only on a miss and a
+// hit allocates nothing. A class that is off builds inline on the
+// caller and stores nothing.
+func cachedFlight[A, T any](ctx context.Context, e *Engine, cs *classStore, key []byte, arg A, build func(*Engine, A) (T, error)) (v T, hit bool, err error) {
+	if cs.off {
+		v, err = build(e, arg)
+		cs.misses.Add(1)
+		return v, false, err
 	}
+	if got, ok := cs.getBytes(key); ok {
+		cs.hits.Add(1)
+		v, _ = got.(T)
+		return v, true, nil
+	}
+	k := string(key)
 	executed := false
-	got, err := e.flight.Do(key, func() (any, error) {
-		if v, ok := cs.get(key); ok {
-			return v, nil
+	got, err := e.flight.DoCtx(ctx, k, func() (any, error) {
+		if got, ok := cs.get(k); ok {
+			return got, nil
 		}
 		executed = true
-		v, err := build()
+		v, err := build(e, arg)
 		if err != nil {
 			return nil, err
 		}
-		cs.put(key, v, approxBytes(v))
-		return v, nil
+		var boxed any = v
+		cs.put(k, boxed, approxBytes(boxed))
+		return boxed, nil
 	})
 	if err != nil {
 		cs.misses.Add(1)
-		var zero T
-		return zero, err
+		if ctx.Err() != nil && err == ctx.Err() {
+			e.canceled.Add(1)
+		}
+		return v, false, err
 	}
 	if executed {
 		cs.misses.Add(1)
 	} else {
 		cs.hits.Add(1)
 	}
-	return got.(T), nil
+	v, _ = got.(T)
+	return v, !executed, nil
+}
+
+// memo is cachedFlight for an asset built outside any request deadline.
+func memo[A, T any](e *Engine, class assetClass, key string, arg A, build func(*Engine, A) (T, error)) (T, error) {
+	v, _, err := cachedFlight(context.Background(), e, e.store.class(class), []byte(key), arg, build)
+	return v, err
+}
+
+// assetArgs are the coordinates a simulated run or overhead database is
+// built from, handed to its build rather than captured.
+type assetArgs struct {
+	device, model string
+	batch         int64
+	profiled      bool
 }
 
 // Calibration returns the device's calibrated kernel models, running
 // the parallel calibration on first use. Concurrent first uses
 // calibrate once.
 func (e *Engine) Calibration(device string) (*perfmodel.Calibration, error) {
-	return memo(e, classCalibration, "cal/"+device, func() (*perfmodel.Calibration, error) {
+	return memo(e, classCalibration, "cal/"+device, device, func(e *Engine, device string) (*perfmodel.Calibration, error) {
 		p, err := hw.ByName(device)
 		if err != nil {
 			return nil, err
@@ -381,8 +427,8 @@ func (e *Engine) CalibrationRuns(device string) int {
 // Model returns the memoized built workload graph.
 func (e *Engine) Model(name string, batch int64) (*models.Model, error) {
 	key := "model/" + name + "/" + strconv.FormatInt(batch, 10)
-	return memo(e, classGraph, key, func() (*models.Model, error) {
-		return models.Build(name, batch)
+	return memo(e, classGraph, key, scenario.Single(name, batch), func(_ *Engine, s scenario.Spec) (*models.Model, error) {
+		return models.Build(s.Workload, s.Batch)
 	})
 }
 
@@ -390,18 +436,18 @@ func (e *Engine) Model(name string, batch int64) (*models.Model, error) {
 // model at batch on device.
 func (e *Engine) Run(device, model string, batch int64, profiled bool) (*sim.Result, error) {
 	key := "run/" + device + "/" + model + "/" + strconv.FormatInt(batch, 10) + "/" + strconv.FormatBool(profiled)
-	return memo(e, classRun, key, func() (*sim.Result, error) {
-		p, err := hw.ByName(device)
+	return memo(e, classRun, key, assetArgs{device, model, batch, profiled}, func(e *Engine, a assetArgs) (*sim.Result, error) {
+		p, err := hw.ByName(a.device)
 		if err != nil {
 			return nil, err
 		}
-		m, err := e.Model(model, batch)
+		m, err := e.Model(a.model, a.batch)
 		if err != nil {
 			return nil, err
 		}
 		return sim.Run(m.Graph, sim.Config{
-			Platform: p, Seed: e.runSeed(device, batch, profiled),
-			Warmup: 5, Iters: e.opts.Iters, Profile: profiled, Workload: model,
+			Platform: p, Seed: e.runSeed(a.device, a.batch, a.profiled),
+			Warmup: 5, Iters: e.opts.Iters, Profile: a.profiled, Workload: a.model,
 		}), nil
 	})
 }
@@ -421,16 +467,16 @@ func (e *Engine) BatchesFor(model string) []int64 {
 // model on one device, pooled over the family's evaluation batch sizes,
 // profiling lazily on first use.
 func (e *Engine) OverheadDB(device, model string) (*overhead.DB, error) {
-	return memo(e, classOverheads, "db/"+device+"/"+model, func() (*overhead.DB, error) {
+	return memo(e, classOverheads, "db/"+device+"/"+model, assetArgs{device: device, model: model}, func(e *Engine, a assetArgs) (*overhead.DB, error) {
 		c := overhead.NewCollector()
-		for _, b := range e.BatchesFor(model) {
-			r, err := e.Run(device, model, b, true)
+		for _, b := range e.BatchesFor(a.model) {
+			r, err := e.Run(a.device, a.model, b, true)
 			if err != nil {
 				return nil, err
 			}
 			c.Add(r.Trace)
 		}
-		e.bumpAssetEpoch(device)
+		e.bumpAssetEpoch(a.device)
 		return c.Finish(), nil
 	})
 }
@@ -438,7 +484,7 @@ func (e *Engine) OverheadDB(device, model string) (*overhead.DB, error) {
 // SharedOverheadDB pools overhead samples across all DLRM workloads on
 // a device — the paper's shared database for large-scale prediction.
 func (e *Engine) SharedOverheadDB(device string) (*overhead.DB, error) {
-	return memo(e, classOverheads, "shared/"+device, func() (*overhead.DB, error) {
+	return memo(e, classOverheads, "shared/"+device, device, func(e *Engine, device string) (*overhead.DB, error) {
 		c := overhead.NewCollector()
 		for _, model := range models.DLRMNames() {
 			for _, b := range e.opts.DLRMBatches {
@@ -506,6 +552,15 @@ var keyBufPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 128); return &b },
 }
 
+// pooledKey returns a pooled scratch buffer holding prefix followed by
+// req's cache identity — the store and flight key of one class
+// ("predict/", "remote/", "plan/"). Return it with keyBufPool.Put.
+func pooledKey(prefix string, req *Request) *[]byte {
+	kb := keyBufPool.Get().(*[]byte)
+	*kb = req.appendKey(append((*kb)[:0], prefix...))
+	return kb
+}
+
 // Result pairs a request with its prediction. For multi-device
 // scenarios Multi carries the communication/scaling breakdown and Plan
 // the embedding-table sharding assignment; both are shared, read-only
@@ -530,15 +585,16 @@ func (r Result) ScalingEfficiency() float64 {
 	return r.Multi.ScalingEfficiency
 }
 
-// CacheStats returns the prediction result cache counters. A miss is a
-// request that reached the compute path: one that actually computed, or
-// one that joined an in-flight computation that failed. Everything
-// served from memory — LRU hits and joins on an identical in-flight
-// request that succeeded — counts as a hit. The invariant is
-// hits + misses == requests served; requests rejected by validation are
-// counted separately (RejectedRequests) and appear in neither counter.
+// CacheStats returns the prediction result cache counters — the
+// results class's own hits and misses. A miss is a request that reached
+// the compute path: one that actually computed, or one that joined an
+// in-flight computation that failed. Everything served from memory —
+// LRU hits and joins on an identical in-flight request that succeeded
+// — counts as a hit. The invariant is hits + misses == requests
+// served; requests rejected by validation are counted separately
+// (RejectedRequests) and appear in neither counter.
 func (e *Engine) CacheStats() (hits, misses uint64) {
-	return e.cacheHits.Load(), e.cacheMisses.Load()
+	return e.results.hits.Load(), e.results.misses.Load()
 }
 
 // RejectedRequests counts requests that failed scenario validation
@@ -552,29 +608,14 @@ func (e *Engine) RejectedRequests() uint64 { return e.rejected.Load() }
 func (e *Engine) RejectRequest() { e.rejected.Add(1) }
 
 // CachedResults reports the resident result-cache entry count.
-func (e *Engine) CachedResults() int {
-	if e.results == nil {
-		return 0
-	}
-	return e.results.len()
-}
+func (e *Engine) CachedResults() int { return e.results.len() }
 
 // AssetStats reports the unified asset store's per-class counters:
 // resident entries against capacity, approximate resident bytes, and
-// hit/miss/eviction totals. The results class mirrors the
-// request-level CacheStats counters (so joins on in-flight requests are
-// included), while its resident/bytes/eviction fields come from the
-// store itself.
-func (e *Engine) AssetStats() AssetStats {
-	s := e.store.stats()
-	for i := range s.Classes {
-		if s.Classes[i].Class == classNames[classResult] {
-			s.Classes[i].Hits = e.cacheHits.Load()
-			s.Classes[i].Misses = e.cacheMisses.Load()
-		}
-	}
-	return s
-}
+// hit/miss/eviction totals. The results class's hits and misses are the
+// request-level CacheStats counters (joins on in-flight requests
+// included).
+func (e *Engine) AssetStats() AssetStats { return e.store.stats() }
 
 // Predict serves one request, building any missing assets on the way.
 // Results are cached by scenario fingerprint: repeats are served from
@@ -595,80 +636,34 @@ func (e *Engine) Predict(req Request) Result {
 // detach from: ctx is only observed at entry and the computation runs
 // inline on the caller — the historical cold-ablation behavior.
 func (e *Engine) PredictCtx(ctx context.Context, req Request) Result {
-	res := Result{Request: req}
-	if err := req.Scenario.Validate(); err != nil {
-		e.rejected.Add(1)
-		res.Err = err
+	var res Result
+	if e.predictFast(ctx, &req, &res) {
 		return res
 	}
-	start := time.Now() //lint:allow deterministic latency observability only; never feeds keys or fingerprints
-	xsync.AtomicMax(&e.peakInFlight, e.inFlight.Add(1))
-	defer func() {
-		e.inFlight.Add(-1)
-		us := time.Since(start).Microseconds()
-		e.latencyUs.Add(us)
-		xsync.AtomicMax(&e.maxLatencyUs, us)
-		e.served.Add(1)
-	}()
+	return e.predictMiss(ctx, req)
+}
+
+// predictMiss serves a validated request predictFast could not answer
+// from memory: a result-cache miss, a caller whose ctx is already done,
+// or any request while the result cache is disabled.
+func (e *Engine) predictMiss(ctx context.Context, req Request) Result {
+	defer e.endStream(e.beginStream())
+	res := Result{Request: req}
 	if err := ctx.Err(); err != nil {
-		e.cacheMisses.Add(1)
+		e.results.misses.Add(1)
 		e.canceled.Add(1)
 		res.Err = err
 		return res
 	}
-	if e.results == nil {
-		c, err := e.predictScenario(req)
-		e.cacheMisses.Add(1)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		return res.fill(c, false)
-	}
-	kb := keyBufPool.Get().(*[]byte)
-	buf := req.appendKey((*kb)[:0])
-	if c, ok := e.results.getBytes(buf); ok {
-		*kb = buf
-		keyBufPool.Put(kb)
-		e.cacheHits.Add(1)
-		return res.fill(c.(cached), true)
-	}
-	// Miss: materialize the key once for the singleflight and the store.
-	key := string(buf)
-	*kb = buf
+	kb := pooledKey("predict/", &req)
+	c, hit, err := cachedFlight(ctx, e, e.results, *kb, req, (*Engine).predictScenario)
 	keyBufPool.Put(kb)
-	executed := false
-	//lint:allow hotpath miss-path only: predictFast already served cache hits alloc-free above
-	got, err := e.flight.DoCtx(ctx, "predict/"+key, func() (any, error) {
-		if c, ok := e.results.get(key); ok {
-			return c, nil
-		}
-		executed = true
-		c, err := e.predictScenario(req)
-		if err != nil {
-			return nil, err
-		}
-		e.results.put(key, c, approxBytes(c))
-		return c, nil
-	})
 	if err != nil {
-		// The executing caller and every joiner of the failed flight
-		// reached the compute path without being served from memory:
-		// count them all as misses so hits+misses keeps equaling the
-		// requests served even on error and cancellation paths.
-		e.cacheMisses.Add(1)
-		if ctx.Err() != nil && err == ctx.Err() {
-			e.canceled.Add(1)
-		}
 		res.Err = err
 		return res
 	}
-	if executed {
-		e.cacheMisses.Add(1)
-	} else {
-		e.cacheHits.Add(1)
-	}
-	return res.fill(got.(cached), !executed)
+	res.fill(c, hit)
+	return res
 }
 
 // RemoteResult serves a request whose computation happens OUTSIDE this
@@ -688,58 +683,12 @@ func (e *Engine) PredictCtx(ctx context.Context, req Request) Result {
 // DoCtx's detached-execution contract: an expired caller abandons the
 // wait while the fetch completes into the cache.
 func (e *Engine) RemoteResult(ctx context.Context, req Request, fetch func() (any, error)) (v any, hit bool, err error) {
-	start := time.Now() //lint:allow deterministic latency observability only; never feeds keys or fingerprints
-	xsync.AtomicMax(&e.peakInFlight, e.inFlight.Add(1))
-	defer func() {
-		e.inFlight.Add(-1)
-		us := time.Since(start).Microseconds()
-		e.latencyUs.Add(us)
-		xsync.AtomicMax(&e.maxLatencyUs, us)
-		e.served.Add(1)
-	}()
-	if e.results == nil {
-		v, err = fetch()
-		e.cacheMisses.Add(1)
-		return v, false, err
-	}
-	kb := keyBufPool.Get().(*[]byte)
-	buf := append((*kb)[:0], "remote/"...)
-	buf = req.appendKey(buf)
-	if v, ok := e.results.getBytes(buf); ok {
-		*kb = buf
-		keyBufPool.Put(kb)
-		e.cacheHits.Add(1)
-		return v, true, nil
-	}
-	key := string(buf)
-	*kb = buf
-	keyBufPool.Put(kb)
-	executed := false
-	got, err := e.flight.DoCtx(ctx, key, func() (any, error) {
-		if v, ok := e.results.get(key); ok {
-			return v, nil
-		}
-		executed = true
-		v, err := fetch()
-		if err != nil {
-			return nil, err
-		}
-		e.results.put(key, v, approxBytes(v))
-		return v, nil
+	defer e.endStream(e.beginStream())
+	kb := pooledKey("remote/", &req)
+	defer keyBufPool.Put(kb)
+	return cachedFlight(ctx, e, e.results, *kb, fetch, func(_ *Engine, fetch func() (any, error)) (any, error) {
+		return fetch()
 	})
-	if err != nil {
-		e.cacheMisses.Add(1)
-		if ctx.Err() != nil && err == ctx.Err() {
-			e.canceled.Add(1)
-		}
-		return nil, false, err
-	}
-	if executed {
-		e.cacheMisses.Add(1)
-		return got, false, nil
-	}
-	e.cacheHits.Add(1)
-	return got, true, nil
 }
 
 // InstallRemoteResult seeds the fingerprint result cache with an
@@ -750,19 +699,18 @@ func (e *Engine) RemoteResult(ctx context.Context, req Request, fetch func() (an
 // replicated entry is an install, not a served request — which keeps
 // hits + misses + rejected == requests intact on every coordinator.
 func (e *Engine) InstallRemoteResult(req Request, v any) {
-	if e.results == nil {
+	if e.results.off {
 		return
 	}
 	e.results.put("remote/"+req.Key(), v, approxBytes(v))
 }
 
 // fill copies a cached computation into the per-call result envelope.
-func (r Result) fill(c cached, hit bool) Result {
+func (r *Result) fill(c cached, hit bool) {
 	r.Prediction = c.pred
 	r.Multi = c.multi
 	r.Plan = c.plan
 	r.CacheHit = hit
-	return r
 }
 
 // PredictBatch fans the requests out across the worker pool and returns
@@ -795,57 +743,42 @@ func (e *Engine) PredictBatchCtx(ctx context.Context, reqs []Request) []Result {
 		return out
 	}
 	xsync.ForEachN(len(miss), e.opts.Workers, func(j int) {
-		out[miss[j]] = e.PredictCtx(ctx, reqs[miss[j]])
+		out[miss[j]] = e.predictMiss(ctx, reqs[miss[j]])
 	})
 	return out
 }
 
-// predictFast serves a request into *out if — and only if — no
-// computation is needed: a validation rejection, or a result-cache
-// hit. Its accounting is exactly PredictCtx's for those two outcomes
-// (one rejection, or one hit + one served with latency recorded);
-// anything else returns false with *out untouched, for PredictCtx to
-// handle in full. Validation runs before the lookup because
-// single-device identity drops the comm field: an invalid spec can
-// alias a valid cached one. Pointer in, pointer out: the request and
-// result structs are large enough that by-value passing shows up as
-// copy traffic on warm batches.
+// predictFast is the front of every predict path. It serves a request
+// into *out if — and only if — no computation is needed: a validation
+// rejection, or a result-cache hit (one hit + one served with latency
+// recorded). Anything else returns false with *out untouched, for
+// predictMiss to handle in full. Validation runs before the lookup
+// because single-device identity drops the comm field: an invalid spec
+// can alias a valid cached one. Pointer in, pointer out: the request
+// and result structs are large enough that by-value passing shows up
+// as copy traffic on warm batches.
 func (e *Engine) predictFast(ctx context.Context, req *Request, out *Result) bool {
-	if e.results == nil {
-		return false
-	}
 	if err := req.Scenario.Validate(); err != nil {
 		e.rejected.Add(1)
 		out.Request = *req
 		out.Err = err
 		return true
 	}
-	if ctx.Err() != nil {
-		// Cancellation accounting (miss + canceled) belongs to the slow
-		// path, which re-observes ctx at entry.
+	if e.results.off || ctx.Err() != nil {
+		// The cold ablation and cancellation accounting (miss +
+		// canceled) belong to predictMiss.
 		return false
 	}
-	start := time.Now() //lint:allow deterministic latency observability only; never feeds keys or fingerprints
-	kb := keyBufPool.Get().(*[]byte)
-	buf := req.appendKey((*kb)[:0])
-	c, ok := e.results.getBytes(buf)
-	*kb = buf
+	kb := pooledKey("predict/", req)
+	c, ok := e.results.getBytes(*kb)
 	keyBufPool.Put(kb)
 	if !ok {
 		return false
 	}
-	xsync.AtomicMax(&e.peakInFlight, e.inFlight.Add(1))
-	e.cacheHits.Add(1)
-	cc := c.(cached)
+	start := e.beginStream()
+	e.results.hits.Add(1)
 	out.Request = *req
-	out.Prediction = cc.pred
-	out.Multi = cc.multi
-	out.Plan = cc.plan
-	out.CacheHit = true
-	e.inFlight.Add(-1)
-	us := time.Since(start).Microseconds()
-	e.latencyUs.Add(us)
-	xsync.AtomicMax(&e.maxLatencyUs, us)
-	e.served.Add(1)
+	out.fill(c.(cached), true)
+	e.endStream(start)
 	return true
 }

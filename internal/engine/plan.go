@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 
@@ -129,9 +130,8 @@ func (e *Engine) compileMulti(req Request) (*CompiledPlan, error) {
 			// Key per-device graphs by shard *content*, so identical
 			// shards (every uniform-table scenario) build one graph.
 			kb = shardGraphKey(kb[:0], spec.Workload, perDev, shard)
-			m, err := memo(e, classGraph, string(kb), func() (*models.Model, error) {
-				return models.BuildDLRM(specializeDLRM(cfg, perDev, shard))
-			})
+			shardSpec := scenario.Spec{Workload: spec.Workload, Batch: perDev, Tables: shard}
+			m, _, err := cachedFlight(context.Background(), e, e.store.class(classGraph), kb, shardSpec, buildTables)
 			if err != nil {
 				return nil, err
 			}

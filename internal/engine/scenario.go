@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 
 	"dlrmperf/internal/models"
@@ -23,22 +24,9 @@ func (e *Engine) predictScenario(req Request) (cached, error) {
 	if e.opts.DisableCompiledPlans {
 		return e.predictUncompiled(req)
 	}
-	cs := e.store.class(classPlan)
-	kb := keyBufPool.Get().(*[]byte)
-	buf := append((*kb)[:0], "plan/"...)
-	buf = req.appendKey(buf)
-	if v, ok := cs.getBytes(buf); ok {
-		*kb = buf
-		keyBufPool.Put(kb)
-		cs.hits.Add(1)
-		return v.(*CompiledPlan).execute()
-	}
-	key := string(buf)
-	*kb = buf
+	kb := pooledKey("plan/", &req)
+	pl, _, err := cachedFlight(context.Background(), e, e.store.class(classPlan), *kb, req, (*Engine).compile)
 	keyBufPool.Put(kb)
-	pl, err := memo(e, classPlan, key, func() (*CompiledPlan, error) {
-		return e.compile(req)
-	})
 	if err != nil {
 		return cached{}, err
 	}
@@ -81,23 +69,19 @@ func (e *Engine) scenarioModel(spec scenario.Spec) (*models.Model, error) {
 	if len(spec.Tables) == 0 {
 		return e.Model(spec.Workload, spec.Batch)
 	}
-	key := "graph/" + spec.Fingerprint()
-	return memo(e, classGraph, key, func() (*models.Model, error) {
-		cfg, err := models.DLRMConfigFor(spec.Workload, spec.Batch)
-		if err != nil {
-			return nil, fmt.Errorf("scenario: custom tables need a DLRM family: %w", err)
-		}
-		return models.BuildDLRM(specializeDLRM(cfg, spec.Batch, spec.Tables))
-	})
+	return memo(e, classGraph, "graph/"+spec.Fingerprint(), spec, buildTables)
 }
 
-// specializeDLRM overrides a family template with a table population —
-// the builder models one pooling factor and skew, so heterogeneous
-// populations contribute their means.
-func specializeDLRM(cfg models.DLRMConfig, batch int64, tables []workload.TableSpec) models.DLRMConfig {
-	cfg.Batch = batch
-	cfg.EmbRows = workload.Rows(tables)
-	cfg.Lookups = workload.MeanLookups(tables)
-	cfg.ZipfSkew = workload.MeanSkew(tables)
-	return cfg
+// buildTables builds a DLRM family's graph at spec's batch, specialized
+// to spec's table population — the builder models one pooling factor
+// and skew, so heterogeneous populations contribute their means.
+func buildTables(_ *Engine, spec scenario.Spec) (*models.Model, error) {
+	cfg, err := models.DLRMConfigFor(spec.Workload, spec.Batch)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: custom tables need a DLRM family: %w", err)
+	}
+	cfg.EmbRows = workload.Rows(spec.Tables)
+	cfg.Lookups = workload.MeanLookups(spec.Tables)
+	cfg.ZipfSkew = workload.MeanSkew(spec.Tables)
+	return models.BuildDLRM(cfg)
 }
